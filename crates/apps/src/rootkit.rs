@@ -297,6 +297,33 @@ mod tests {
     }
 
     #[test]
+    fn reboot_under_a_memory_write_fault_still_reports_clean() {
+        use flicker_faults::{Fault, FaultInjector, FaultPlan};
+        let (mut os, cert, mut admin) = setup(47);
+        let plan = FaultPlan {
+            faults: vec![
+                Fault::PowerLossAfter {
+                    after: Duration::ZERO,
+                },
+                Fault::MemWriteFault { skip: 0 },
+            ],
+        };
+        os.machine_mut()
+            .set_fault_injector(FaultInjector::new(&plan));
+        os.machine_mut().charge_cpu(Duration::from_micros(1));
+        assert!(os.machine().power_lost());
+
+        os.reboot_after_power_loss();
+        let (base, len) = os.kernel_region();
+        assert_eq!(
+            os.machine().memory().read(base, len).unwrap(),
+            &os.kernel().measured_region()[..]
+        );
+        let report = admin.query(&mut os, &cert).unwrap();
+        assert!(report.clean, "pristine kernel reported compromised");
+    }
+
+    #[test]
     fn query_latency_dominated_by_quote() {
         let (mut os, cert, mut admin) = setup(46);
         let report = admin.query(&mut os, &cert).unwrap();

@@ -27,8 +27,9 @@ use std::cell::Cell;
 /// counts, and so on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Primitive {
-    /// One Montgomery multiplication (`MontgomeryCtx::mont_mul`), the
-    /// inner loop of every modular exponentiation.
+    /// One Montgomery multiplication (`MontgomeryCtx::mont_mul_into`),
+    /// the inner loop of every modular exponentiation and of the
+    /// Miller–Rabin square chains.
     ModMul,
     /// One SHA-1 compression-function invocation (64-byte block).
     Sha1Compress,
@@ -229,15 +230,19 @@ mod tests {
     #[test]
     fn modexp_counts_montmuls() {
         let m = crate::mpint::Mpint::from_bytes_be(&0xFFFF_FFFBu64.to_be_bytes());
-        let ctx = crate::montgomery::MontgomeryCtx::new(&m).unwrap();
         let base = crate::mpint::Mpint::from_bytes_be(&[3]);
         let exp = crate::mpint::Mpint::from_bytes_be(&65537u64.to_be_bytes());
         let before = snapshot();
+        let ctx = crate::montgomery::MontgomeryCtx::new(&m).unwrap();
+        assert_eq!(snapshot().since(&before).modmul, 1, "R mod n");
+        let before = snapshot();
         ctx.mod_exp(&base, &exp);
         let delta = snapshot().since(&before);
-        // Square-and-multiply: ~2 mont_muls per exponent bit plus the
-        // domain conversions. e = 65537 has 17 bits, 2 set.
-        assert!(delta.modmul >= 17, "got {}", delta.modmul);
+        // Fixed 4-bit windows, whatever the exponent's bits: the base into
+        // Montgomery form, base^2..base^15 into the table, 4 squarings
+        // and 1 multiply for each window below the top one (e = 65537 has
+        // 17 bits, so 5 windows), and the result out of Montgomery form.
+        assert_eq!(delta.modmul, 1 + 14 + 4 * 5 + 1);
     }
 
     #[test]

@@ -9,8 +9,11 @@
 //! explicitly.
 //!
 //! Division is Knuth's Algorithm D (TAOCP vol. 2, §4.3.1), the same
-//! algorithm every serious bignum library uses; modular exponentiation is
-//! left-to-right binary with interleaved reduction.
+//! algorithm every serious bignum library uses. Modular exponentiation
+//! over odd moduli is fixed-window Montgomery exponentiation
+//! ([`crate::montgomery`]); the division-based left-to-right binary
+//! [`Mpint::mod_exp_plain`] is the reference it is tested against and the
+//! fallback for even moduli.
 
 use crate::rng::CryptoRng;
 use crate::CryptoError;
@@ -393,14 +396,26 @@ impl Mpint {
         self.div_rem(modulus).1
     }
 
+    /// Returns `self % d` for a single-limb divisor, without allocating.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `d` is zero.
+    pub fn rem_u64(&self, d: u64) -> u64 {
+        assert!(d != 0, "mpint division by zero");
+        self.limbs.iter().rev().fold(0u64, |rem, &limb| {
+            ((((rem as u128) << 64) | limb as u128) % d as u128) as u64
+        })
+    }
+
     /// Returns `(self * other) % modulus`.
     pub fn mul_mod(&self, other: &Mpint, modulus: &Mpint) -> Mpint {
         self.mul(other).rem(modulus)
     }
 
-    /// The little-endian limb representation (no trailing zeros).
-    pub(crate) fn limbs_le(&self) -> Vec<u64> {
-        self.limbs.clone()
+    /// The little-endian limbs (no trailing zeros).
+    pub(crate) fn limbs(&self) -> &[u64] {
+        &self.limbs
     }
 
     /// Builds a value from little-endian limbs (trailing zeros allowed).

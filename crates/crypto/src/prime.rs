@@ -6,7 +6,16 @@
 //! tried before a prime is found). This module reports how many candidates
 //! and Miller–Rabin rounds were consumed so the simulator's cost model can
 //! reproduce exactly that distribution.
+//!
+//! Trial division takes single-limb remainders ([`Mpint::rem_u64`]). A
+//! candidate that survives it gets one [`MontgomeryCtx`], and every
+//! witness's square chain stays in Montgomery form, compared against the
+//! Montgomery forms of 1 and `n − 1`; no division runs per squaring. The
+//! candidates, random witnesses and verdicts are those of the textbook
+//! test, so the search statistics (and the simulated keygen time they
+//! drive) do not depend on the kernel.
 
+use crate::montgomery::MontgomeryCtx;
 use crate::mpint::Mpint;
 use crate::rng::CryptoRng;
 
@@ -43,12 +52,8 @@ fn is_probable_prime_counted<R: CryptoRng + ?Sized>(
         return false;
     }
     for &p in &SMALL_PRIMES {
-        let pm = Mpint::from(p);
-        if n == &pm {
-            return true;
-        }
-        if n.rem(&pm).is_zero() {
-            return false;
+        if n.rem_u64(p) == 0 {
+            return n == &Mpint::from(p);
         }
     }
 
@@ -61,19 +66,27 @@ fn is_probable_prime_counted<R: CryptoRng + ?Sized>(
         s += 1;
     }
 
+    // n survived trial division, so it is odd and > 1. Each witness's
+    // square chain stays in Montgomery form and is compared against the
+    // Montgomery forms of 1 and n - 1.
+    let ctx = MontgomeryCtx::new(n).expect("odd modulus > 1");
+    let one = ctx.one_mont();
+    let minus_one = ctx.to_mont(&n_minus_1);
+    let mut buf = vec![0u64; 2 * one.len() + 2];
+
     let two = Mpint::from(2u64);
     let n_minus_3 = n.sub(&Mpint::from(3u64));
     'witness: for _ in 0..rounds {
         *mr_rounds += 1;
         // Random base in [2, n-2].
         let a = Mpint::random_below(rng, &n_minus_3).add(&two);
-        let mut x = a.mod_exp(&d, n);
-        if x.is_one() || x == n_minus_1 {
+        let mut x = ctx.pow_mont(&a, &d);
+        if x == one || x == minus_one {
             continue 'witness;
         }
         for _ in 0..s - 1 {
-            x = x.mul_mod(&x, n);
-            if x == n_minus_1 {
+            ctx.square_mont(&mut x, &mut buf);
+            if x == minus_one {
                 continue 'witness;
             }
         }
@@ -181,5 +194,63 @@ mod tests {
         let (p, _) = generate_prime(128, 8, &mut rng);
         let (q, _) = generate_prime(128, 8, &mut rng);
         assert_ne!(p, q);
+    }
+
+    #[test]
+    fn miller_rabin_verdict_table() {
+        // Composites that survive trial division and reach Miller-Rabin:
+        // Chernick Carmichael numbers (6k+1)(12k+1)(18k+1), which fool
+        // Fermat for every coprime base, and strong base-2 pseudoprimes,
+        // which pass a base-2 round (3825123056546413051 passes every
+        // prime base up to 23). Then primes of similar sizes, and a few
+        // small-factor cases settled by trial division.
+        const TABLE: [(u64, bool); 21] = [
+            (172_947_529, false),
+            (216_821_881, false),
+            (228_842_209, false),
+            (1_299_963_601, false),
+            (1_373_653, false),
+            (25_326_001, false),
+            (2_152_302_898_747, false),
+            (3_474_749_660_383, false),
+            (341_550_071_728_321, false),
+            (3_825_123_056_546_413_051, false),
+            (2_027, true),
+            (4_679, true),
+            (3_215_031_767, true),
+            (1_000_000_007, true),
+            (2_305_843_009_213_693_951, true),  // 2^61 - 1
+            (18_446_744_073_709_551_557, true), // largest 64-bit prime
+            (561, false),
+            (2_047, false),
+            (3_215_031_751, false),
+            (9_746_347_772_161, false),
+            (18_446_744_073_709_551_555, false),
+        ];
+        let mut rng = XorShiftRng::new(7);
+        for (n, prime) in TABLE {
+            assert_eq!(is_probable_prime(&mp(n), 20, &mut rng), prime, "{n}");
+        }
+    }
+
+    #[test]
+    fn miller_rabin_rounds_and_draws_are_pinned() {
+        // Rounds and RNG draws per candidate feed the keygen cost model;
+        // pin both for a composite that survives trial division and for a
+        // prime.
+        let mut rng = XorShiftRng::new(8);
+        let mut rounds = 0;
+        let composite = mp(3_825_123_056_546_413_051);
+        assert!(!is_probable_prime_counted(
+            &composite,
+            20,
+            &mut rng,
+            &mut rounds
+        ));
+        let m127 = Mpint::one().shl(127).sub(&Mpint::one());
+        assert!(is_probable_prime_counted(&m127, 20, &mut rng, &mut rounds));
+        // The composite fails its first witness; the prime runs all 20.
+        assert_eq!(rounds, 21);
+        assert_eq!(rng.next_u64(), 0x2587_f5ae_9806_7d9a);
     }
 }

@@ -190,15 +190,12 @@ impl RsaPrivateKey {
             return Err(CryptoError::OutOfRange("ciphertext >= modulus"));
         }
         // CRT: m1 = c^dP mod p, m2 = c^dQ mod q,
-        // h = qInv (m1 - m2) mod p, m = m2 + h q.
+        // h = qInv (m1 - m2) mod p, m = m2 + h q. Adding p before the
+        // subtraction keeps it non-negative whichever of m1, m2 is larger
+        // (and m2 may exceed p when q > p), so there is one path.
         let m1 = c.mod_exp(&self.d_p, &self.p);
         let m2 = c.mod_exp(&self.d_q, &self.q);
-        let diff = if m1 >= m2 {
-            m1.sub(&m2)
-        } else {
-            // (m1 - m2) mod p with m1 < m2: add enough multiples of p.
-            self.p.sub(&m2.sub(&m1).rem(&self.p)).rem(&self.p)
-        };
+        let diff = m1.add(&self.p).sub(&m2.rem(&self.p)).rem(&self.p);
         let h = self.q_inv.mul_mod(&diff, &self.p);
         Ok(m2.add(&h.mul(&self.q)))
     }
@@ -355,16 +352,89 @@ mod tests {
         assert!(s.contains("bits"));
     }
 
+    /// The key with `p` and `q` exchanged (the CRT parameters are
+    /// re-derived), so one of the pair has `q > p`.
+    fn with_primes_swapped(key: &RsaPrivateKey) -> RsaPrivateKey {
+        let mut bytes = Vec::new();
+        for f in [&key.public.n, &key.public.e, &key.d, &key.q, &key.p] {
+            let f = f.to_bytes_be();
+            bytes.extend_from_slice(&(f.len() as u32).to_be_bytes());
+            bytes.extend_from_slice(&f);
+        }
+        RsaPrivateKey::from_bytes(&bytes).unwrap()
+    }
+
     #[test]
     fn crt_handles_m1_less_than_m2() {
-        // Exercise the borrow path in raw_decrypt repeatedly with varied
-        // ciphertexts; correctness is checked via round-trip.
-        let key = test_key(256, 21);
+        // Round-trip varied ciphertexts under both prime orders. With
+        // q > p, m2 = c^dQ mod q can reach or exceed p, which the
+        // recombination must reduce before subtracting.
         let mut rng = XorShiftRng::new(22);
-        for _ in 0..20 {
-            let m = Mpint::random_below(&mut rng, key.public_key().n());
-            let c = key.public_key().raw_encrypt(&m).unwrap();
-            assert_eq!(key.raw_decrypt(&c).unwrap(), m);
+        let (mut m1_below_m2, mut m2_at_least_p) = (0, 0);
+        for seed in [21, 23, 24] {
+            let key = test_key(256, seed);
+            for key in [with_primes_swapped(&key), key] {
+                for _ in 0..20 {
+                    let m = Mpint::random_below(&mut rng, key.public_key().n());
+                    let c = key.public_key().raw_encrypt(&m).unwrap();
+                    let m1 = c.mod_exp(&key.d_p, &key.p);
+                    let m2 = c.mod_exp(&key.d_q, &key.q);
+                    m1_below_m2 += usize::from(m1 < m2);
+                    m2_at_least_p += usize::from(m2 >= key.p);
+                    assert_eq!(key.raw_decrypt(&c).unwrap(), m);
+                }
+            }
+        }
+        assert!(m1_below_m2 > 0 && m2_at_least_p > 0);
+    }
+
+    /// Keygens recorded from the binary-exponentiation kernel with
+    /// division-based Miller-Rabin squarings: the search statistics, the
+    /// SHA-1 of the key bytes and the RNG's next draw after keygen. Any
+    /// bignum-kernel change must reproduce them bit for bit, because the
+    /// statistics drive the simulated keygen time.
+    #[test]
+    fn keygen_goldens_are_bit_identical() {
+        use crate::digest::Digest;
+        type Golden = (usize, u64, (u64, u64), (u64, u64), &'static str, u64);
+        const GOLDENS: [Golden; 3] = [
+            (
+                256,
+                101,
+                (105, 62),
+                (75, 58),
+                "e5cba957c1bb01eec54bcfb1137a03e1ac5707bc",
+                0xb2c3_d53f_3bc6_6821,
+            ),
+            (
+                512,
+                102,
+                (241, 90),
+                (37, 47),
+                "af8d2c51fa05ed6fe8fc79a5f0f85b18dc7acb08",
+                0x31ba_4389_7698_4ef4,
+            ),
+            (
+                1024,
+                103,
+                (45, 49),
+                (54, 55),
+                "a64624157be526676a6c90cf813c66c82e1ed15a",
+                0xf423_69c0_eedb_5b96,
+            ),
+        ];
+        for (bits, seed, (pc, pr), (qc, qr), sha1, next) in GOLDENS {
+            let mut rng = XorShiftRng::new(seed);
+            let (key, stats) = RsaPrivateKey::generate(bits, &mut rng);
+            let stats_of = |candidates_tried, mr_rounds| PrimeSearchStats {
+                candidates_tried,
+                mr_rounds,
+            };
+            assert_eq!(stats.p_stats, stats_of(pc, pr), "{bits}-bit p search");
+            assert_eq!(stats.q_stats, stats_of(qc, qr), "{bits}-bit q search");
+            let digest = crate::sha1::Sha1::digest(&key.to_bytes());
+            assert_eq!(crate::hex::encode(&digest), sha1, "{bits}-bit key bytes");
+            assert_eq!(rng.next_u64(), next, "{bits}-bit RNG draws");
         }
     }
 }

@@ -54,6 +54,10 @@ impl OsConfig {
 /// conventional SLB allocation at 0x10_0000).
 pub const KERNEL_PHYS_BASE: u64 = 0x20_0000;
 
+/// Tries at loading the kernel region: an injected memory-write fault
+/// fires once per arming, so the second try lands.
+const KERNEL_LOAD_ATTEMPTS: usize = 2;
+
 /// The running (untrusted) operating system.
 pub struct Os {
     machine: Machine,
@@ -78,14 +82,30 @@ impl Os {
     }
 
     /// (Re)writes the kernel's measured region into physical memory —
-    /// called at boot and after any kernel mutation (module load, rootkit
-    /// installation) so in-memory state matches the [`KernelImage`].
+    /// called at boot, after a power-loss reboot, and after any kernel
+    /// mutation (module load, rootkit installation) so in-memory state
+    /// matches the [`KernelImage`].
+    ///
+    /// An armed [`MemWriteFault`](flicker_faults::Fault::MemWriteFault)
+    /// may hit this write. It fires once per arming, so the load is
+    /// retried: the region is never left unwritten, which would make a
+    /// pristine kernel measure as compromised.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the region does not fit in installed RAM.
     pub fn sync_kernel_to_memory(&mut self) {
         let region = self.kernel.measured_region();
-        self.machine
-            .memory_mut()
-            .write(KERNEL_PHYS_BASE, &region)
-            .expect("kernel region must fit in installed RAM");
+        let mut result = Ok(());
+        for _ in 0..KERNEL_LOAD_ATTEMPTS {
+            result = self.machine.memory_mut().write(KERNEL_PHYS_BASE, &region);
+            if !matches!(result, Err(MachineError::MemWriteFault { .. })) {
+                break;
+            }
+        }
+        if let Err(e) = result {
+            panic!("kernel region must load into installed RAM: {e}");
+        }
     }
 
     /// Extent of the kernel's measured region in memory:

@@ -7,6 +7,11 @@ cargo fmt --all -- --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo build --release
 cargo test --workspace -q
+# The host-time benchmark is a workspace of its own, so the root `cargo
+# test` never builds it. Its recorded `sim_digest` references are the
+# virtual-clock equivalence proof for every host-side optimisation: the
+# simulated timings and outputs must not move.
+cargo test -q --manifest-path hostbench/Cargo.toml
 # Deterministic robustness gate: 200 seeded fault schedules across the §6
 # applications; every schedule's flight record is replayed through the
 # trace auditor, and any violation exits non-zero. The --quick sweep runs
